@@ -2,7 +2,8 @@
 //!
 //! One output file, no JavaScript, no external fetches: styles are inline
 //! CSS, every figure is inline SVG built by hand (the same philosophy as
-//! the workspace's hand-rolled JSON codecs). The report degrades
+//! the workspace's own JSON codec, `adaphet_metrics::json`). The report
+//! degrades
 //! gracefully — sections whose inputs are absent (no snapshots, no
 //! re-simulation, no metrics file) are simply omitted.
 

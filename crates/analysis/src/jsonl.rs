@@ -1,249 +1,12 @@
-//! Minimal JSON/JSONL parsing for the telemetry schema.
-//!
-//! The workspace hand-rolls its JSON *emitters* (no serde in the offline
-//! build), so the report side hand-rolls the matching *parser*: a small
-//! recursive-descent JSON reader plus typed extraction of the
-//! `IterationEvent` JSONL schema pinned by `tests/telemetry_schema.rs`.
-//! Unknown keys are ignored, so the parser reads both the current 15-key
+//! Typed extraction of the `IterationEvent` JSONL telemetry schema pinned
+//! by `tests/telemetry_schema.rs`, on top of the workspace's JSON codec
+//! ([`adaphet_metrics::json`], re-exported here as [`Json`]). Unknown
+//! keys are ignored, so the reader accepts both the current 15-key
 //! schema and the older 14-key prefix.
 
 use std::collections::HashMap;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (always held as `f64`).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (`None` for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value (`None` for `null` and non-numbers).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Numeric value truncated to usize.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64().map(|x| x as usize)
-    }
-
-    /// String value.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Array items.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 character, not just one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
+pub use adaphet_metrics::json::Json;
 
 /// One posterior point of a telemetry `snapshot`.
 #[derive(Debug, Clone, PartialEq)]
@@ -383,20 +146,14 @@ fn named_seconds(v: Option<&Json>) -> Vec<(String, f64)> {
 }
 
 fn parse_record(v: &Json) -> Result<IterationRecord, String> {
-    let iteration = v.get("iteration").and_then(Json::as_usize).ok_or("missing 'iteration'")?;
-    let strategy =
-        v.get("strategy").and_then(Json::as_str).ok_or("missing 'strategy'")?.to_string();
-    let action = v.get("action").and_then(Json::as_usize).ok_or("missing 'action'")?;
     let snapshot = match v.get("snapshot") {
         None | Some(Json::Null) => None,
         Some(snap) => Some(
-            snap.get("points")
-                .and_then(Json::as_arr)
-                .ok_or("snapshot without 'points'")?
+            snap.req::<&[Json]>("points")?
                 .iter()
                 .map(|p| {
                     Ok(SnapshotPoint {
-                        action: p.get("action").and_then(Json::as_usize).ok_or("point action")?,
+                        action: p.req("action")?,
                         mean: opt_f64(p.get("mean")),
                         sd: opt_f64(p.get("sd")),
                         lp_bound: opt_f64(p.get("lp_bound")),
@@ -408,9 +165,9 @@ fn parse_record(v: &Json) -> Result<IterationRecord, String> {
     };
     let breakdown = v.get("phase_breakdown");
     Ok(IterationRecord {
-        iteration,
-        strategy,
-        action,
+        iteration: v.req("iteration")?,
+        strategy: v.req("strategy")?,
+        action: v.req("action")?,
         duration: f64_or_nan(v.get("duration")),
         cumulative_time: f64_or_nan(v.get("cumulative_time")),
         best_known: opt_f64(v.get("best_known")),
@@ -448,31 +205,6 @@ fn parse_record(v: &Json) -> Result<IterationRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_strings_and_nesting() {
-        let v = Json::parse(r#"{"a":1.5,"b":[true,null,"x\"y\\z"],"c":{"d":-2e3}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(1.5));
-        let b = v.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(b[0].as_bool(), Some(true));
-        assert_eq!(b[1], Json::Null);
-        assert_eq!(b[2].as_str(), Some("x\"y\\z"));
-        assert_eq!(v.get("c").unwrap().get("d").unwrap().as_f64(), Some(-2000.0));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{}x").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn unicode_escapes_decode() {
-        let v = Json::parse(r#""café""#).unwrap();
-        assert_eq!(v.as_str(), Some("café"));
-    }
 
     /// A line exactly as `IterationEvent::to_json` emits it (the golden
     /// schema of tests/telemetry_schema.rs).

@@ -8,7 +8,7 @@
 //! * [`IdleBreakdown`] — classification of every worker idle second into
 //!   dependency-wait, transfer-wait, or no-ready-work buckets that
 //!   partition the window exactly;
-//! * [`TelemetryRun`] — a hand-rolled parser for the JSONL telemetry the
+//! * [`TelemetryRun`] — a typed reader of the JSONL telemetry the
 //!   tuner driver emits (the schema pinned by `tests/telemetry_schema.rs`),
 //!   including GP posterior snapshots;
 //! * [`Report`] / [`render_html`] / [`render_ascii`] — a self-contained
@@ -16,7 +16,7 @@
 //!   fetches) with an ASCII fallback for terminals.
 //!
 //! The crate deliberately depends only on `adaphet-runtime` (trace types)
-//! and `adaphet-metrics` (string escaping): it consumes artifacts, it does
+//! and `adaphet-metrics` (the JSON codec): it consumes artifacts, it does
 //! not drive simulations. The `report` eval binary wires it to live
 //! scenarios.
 

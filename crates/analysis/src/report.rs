@@ -90,7 +90,7 @@ fn scalar(v: &Json) -> Option<String> {
     match v {
         Json::Null => Some("null".into()),
         Json::Bool(b) => Some(b.to_string()),
-        Json::Num(x) => Some(format_num(*x)),
+        Json::Int(_) | Json::Num(_) => v.as_f64().map(format_num),
         Json::Str(s) => Some(s.clone()),
         _ => None,
     }

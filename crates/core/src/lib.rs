@@ -87,7 +87,6 @@ mod kind;
 mod naive;
 mod session;
 mod strategy;
-mod two_dim;
 mod warm;
 
 // ---- The curated public surface, by layer ----------------------------
@@ -130,6 +129,3 @@ pub use gp_disc::{GpDiscOptions, GpDiscontinuous};
 pub use gp_ucb::{GpUcb, GpUcbOptions};
 pub use naive::{DivideConquer, RightLeft};
 pub use strategy::{AllNodes, Oracle};
-
-// The 2-d prototype (`two_dim.rs`): a separate experimental surface.
-pub use two_dim::{GpUcb2d, History2d, Strategy2d};

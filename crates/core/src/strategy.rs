@@ -2,6 +2,7 @@
 //! strategies.
 
 use crate::{ActionSpace, History, SurrogatePrior};
+use adaphet_metrics::json::{ObjWriter, ToJson};
 use adaphet_store::GpHyper;
 
 /// Posterior / score diagnostics for one candidate action, as seen by the
@@ -74,6 +75,35 @@ pub struct PosteriorPoint {
 pub struct PosteriorSnapshot {
     /// One point per action of the live space, in ascending action order.
     pub points: Vec<PosteriorPoint>,
+}
+
+impl ToJson for ActionDiagnostic {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("action", self.action)
+            .field("mean", self.mean)
+            .field("sd", self.sd)
+            .field("acquisition", self.acquisition);
+    }
+}
+
+/// The object form shared by the telemetry `snapshot` field and the
+/// service's `posterior` frame.
+impl ToJson for PosteriorPoint {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("action", self.action)
+            .field("mean", self.mean)
+            .field("sd", self.sd)
+            .field("lp_bound", self.lp_bound)
+            .field("excluded", self.excluded);
+    }
+}
+
+impl ToJson for PosteriorSnapshot {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out).field("points", &self.points);
+    }
 }
 
 /// An online exploration strategy over node counts.

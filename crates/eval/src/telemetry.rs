@@ -13,6 +13,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use adaphet_core::{IterationEvent, TelemetrySink};
+use adaphet_metrics::json::{self, Fixed};
 use adaphet_runtime::chrome_trace_document;
 
 /// Process id used for the tuner lane (task events use the node id as
@@ -75,28 +76,45 @@ impl TelemetrySink for ChromeTraceSink {
         let start_us = (self.time_offset + e.cumulative_time - e.duration) * 1e6;
         let mut evs = self.lock();
         // The decision, as a duration-less instant marker at iteration start.
-        evs.push(format!(
-            "{{\"name\":\"iter {}: n={}\",\"cat\":\"tuner\",\"ph\":\"i\",\"s\":\"g\",\
-             \"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"strategy\":\"{}\",\
-             \"action\":{},\"duration\":{}}}}}",
-            e.iteration, e.action, start_us, TUNER_PID, e.strategy, e.action, e.duration
-        ));
+        evs.push(json::object(|o| {
+            o.field("name", format!("iter {}: n={}", e.iteration, e.action))
+                .field("cat", "tuner")
+                .field("ph", "i")
+                .field("s", "g")
+                .field("ts", Fixed(start_us, 3))
+                .field("pid", TUNER_PID)
+                .field("tid", 0u32)
+                .obj("args")
+                .field("strategy", &e.strategy)
+                .field("action", e.action)
+                .field("duration", e.duration);
+        }));
         // The chosen node count as a counter, so the tuner's trajectory
         // renders as a step curve over the task timeline.
-        evs.push(format!(
-            "{{\"name\":\"nodes\",\"cat\":\"tuner\",\"ph\":\"C\",\"ts\":{:.3},\
-             \"pid\":{},\"args\":{{\"n\":{}}}}}",
-            start_us, TUNER_PID, e.action
-        ));
+        evs.push(json::object(|o| {
+            o.field("name", "nodes")
+                .field("cat", "tuner")
+                .field("ph", "C")
+                .field("ts", Fixed(start_us, 3))
+                .field("pid", TUNER_PID)
+                .obj("args")
+                .field("n", e.action);
+        }));
         // Fault/resilience annotations (node deaths, retries, re-baseline
         // probes) render as process-scoped instant markers so recovery is
         // visible right on the timeline.
         if let Some(fault) = &e.fault {
-            evs.push(format!(
-                "{{\"name\":\"fault: {}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                 \"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"retries\":{}}}}}",
-                fault, start_us, TUNER_PID, e.retries
-            ));
+            evs.push(json::object(|o| {
+                o.field("name", format!("fault: {fault}"))
+                    .field("cat", "fault")
+                    .field("ph", "i")
+                    .field("s", "p")
+                    .field("ts", Fixed(start_us, 3))
+                    .field("pid", TUNER_PID)
+                    .field("tid", 0u32)
+                    .obj("args")
+                    .field("retries", e.retries);
+            }));
         }
         // Profiled iterations additionally get a phase lane (tid 1): the
         // disjoint wall-clock slices render as complete ("X") events laid
@@ -105,11 +123,15 @@ impl TelemetrySink for ChromeTraceSink {
             let mut at_us = start_us;
             for p in &b.phases {
                 let dur_us = p.seconds * 1e6;
-                evs.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":{},\"tid\":1}}",
-                    p.name, at_us, dur_us, TUNER_PID
-                ));
+                evs.push(json::object(|o| {
+                    o.field("name", &p.name)
+                        .field("cat", "phase")
+                        .field("ph", "X")
+                        .field("ts", Fixed(at_us, 3))
+                        .field("dur", Fixed(dur_us, 3))
+                        .field("pid", TUNER_PID)
+                        .field("tid", 1u32);
+                }));
                 at_us += dur_us;
             }
         }
@@ -169,9 +191,10 @@ mod tests {
 
     #[test]
     fn fault_annotations_render_as_instant_markers() {
-        use adaphet_core::IterationEvent;
+        use adaphet_core::{IterationEvent, PhaseBreakdown, PhaseSlice};
+        use adaphet_metrics::json::Json;
         let mut sink = ChromeTraceSink::new();
-        sink.on_iteration(&IterationEvent {
+        let event = IterationEvent {
             iteration: 4,
             strategy: "GP-discontinuous".into(),
             action: 5,
@@ -185,11 +208,36 @@ mod tests {
             retries: 1,
             fault: Some("node-death:rank=5;rebaseline".into()),
             snapshot: None,
-        });
+        };
+        sink.on_iteration(&event);
         let evs = sink.tuner_events();
         assert_eq!(evs.len(), 3, "instant + counter + fault marker: {evs:?}");
         assert!(evs[2].contains("\"name\":\"fault: node-death:rank=5;rebaseline\""));
         assert!(evs[2].contains("\"cat\":\"fault\"") && evs[2].contains("\"retries\":1"));
+
+        // Quoted names and notes are escaped and a NaN duration writes
+        // null, so every event still parses.
+        sink.on_iteration(&IterationEvent {
+            strategy: "gen \"A\"".into(),
+            duration: f64::NAN,
+            phase_breakdown: Some(PhaseBreakdown {
+                phases: vec![PhaseSlice::new("gen \"A\"", f64::NAN)],
+                groups: vec![],
+            }),
+            fault: Some("note \"q\" \\ end".into()),
+            ..event
+        });
+        let evs = sink.tuner_events();
+        assert_eq!(evs.len(), 7, "plus instant + counter + fault + one phase slice: {evs:?}");
+        let parsed: Vec<Json> =
+            evs.iter().map(|e| Json::parse(e).unwrap_or_else(|err| panic!("{err}: {e}"))).collect();
+        assert_eq!(parsed[3].get("ts"), Some(&Json::Null), "NaN start writes null");
+        let strategy = parsed[3].get("args").and_then(|a| a.get("strategy"));
+        assert_eq!(strategy.and_then(Json::as_str), Some("gen \"A\""));
+        assert_eq!(parsed[5].get("name").and_then(Json::as_str), Some("fault: note \"q\" \\ end"));
+        assert_eq!(parsed[6].get("name").and_then(Json::as_str), Some("gen \"A\""));
+        assert_eq!(parsed[6].get("dur"), Some(&Json::Null));
+        assert!(Json::parse(&sink.merged_document(&[])).is_ok());
     }
 
     #[test]

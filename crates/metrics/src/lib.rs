@@ -22,6 +22,10 @@
 //! ids into a bounded ring of recent [`SpanRecord`]s; a disabled handle
 //! makes every guard a clock-free no-op, mirroring [`NoopRecorder`].
 //!
+//! The [`json`] module is the workspace's one JSON codec: the parser,
+//! the string escaper, the non-finite → `null` number rule and the
+//! append-only writers every emitter uses.
+//!
 //! Components that cannot thread a recorder handle through their call sites
 //! (solver internals, the response cache) use the process-wide recorder:
 //! [`global()`] is a no-op until [`install_global`] activates a registry.
@@ -29,16 +33,17 @@
 //! all share the registry returned by the call, so assertions must be made
 //! on monotone deltas rather than absolute counter values.
 
+pub mod json;
 mod recorder;
 mod registry;
 mod report;
 mod span;
 
+pub use json::json_escape;
 pub use recorder::{NoopRecorder, Recorder, Timer};
 pub use registry::{HistogramSnapshot, Registry, SECONDS_BUCKETS};
 pub use report::{
-    json_escape, prometheus_name, GroupProfile, IterationProfile, MetricsReport,
-    METRICS_SCHEMA_VERSION,
+    prometheus_name, GroupProfile, IterationProfile, MetricsReport, METRICS_SCHEMA_VERSION,
 };
 pub use span::{Span, SpanRecord, Spans};
 

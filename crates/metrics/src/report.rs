@@ -1,5 +1,6 @@
 //! [`MetricsReport`]: a frozen, serializable view of a metrics run.
 
+use crate::json;
 use crate::registry::HistogramSnapshot;
 
 /// Version stamped into every report; bump on any schema change (the golden
@@ -70,35 +71,6 @@ pub struct MetricsReport {
     pub iterations: Vec<IterationProfile>,
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escape a string for embedding inside a JSON string literal (quotes,
-/// backslashes, and control characters). The workspace's hand-rolled JSON
-/// codecs (metrics reports, telemetry events, Chrome traces) share this
-/// single implementation so no emitter can produce invalid JSON from a
-/// user-supplied name.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Map a dotted adaphet metric name onto a Prometheus series name:
 /// `adaphet_` namespace, non-`[a-zA-Z0-9_]` characters replaced by `_`,
 /// and a trailing `_s` (the workspace convention for seconds) spelled out
@@ -116,73 +88,43 @@ pub fn prometheus_name(name: &str) -> String {
     out
 }
 
-fn json_map(entries: &[(String, f64)]) -> String {
-    let body: Vec<String> =
-        entries.iter().map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v))).collect();
-    format!("{{{}}}", body.join(","))
-}
-
 impl MetricsReport {
     /// Serialize as one JSON object with pinned key order: `version`,
     /// `monotonic_s`, `counters`, `gauges`, `histograms`, `iterations`.
     pub fn to_json(&self) -> String {
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"bounds\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{}}}",
-                    json_escape(k),
-                    h.bounds.iter().map(|b| json_f64(*b)).collect::<Vec<_>>().join(","),
-                    h.counts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(","),
-                    h.count,
-                    json_f64(h.sum),
-                )
-            })
-            .collect();
-        let iters: Vec<String> = self
-            .iterations
-            .iter()
-            .map(|it| {
-                let phases: Vec<String> = it
-                    .phases
-                    .iter()
-                    .map(|(n, s)| {
-                        format!("{{\"name\":\"{}\",\"seconds\":{}}}", json_escape(n), json_f64(*s))
+        json::object(|o| {
+            o.field("version", METRICS_SCHEMA_VERSION).field("monotonic_s", self.monotonic_s);
+            for (key, entries) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+                let mut map = o.obj(key);
+                for (k, v) in entries {
+                    map.field(k, *v);
+                }
+            }
+            let mut hists = o.obj("histograms");
+            for (k, h) in &self.histograms {
+                hists
+                    .obj(k)
+                    .field("bounds", &h.bounds)
+                    .field("counts", &h.counts)
+                    .field("count", h.count)
+                    .field("sum", h.sum);
+            }
+            drop(hists);
+            o.objs("iterations", &self.iterations, |io, it| {
+                io.field("iteration", it.iteration)
+                    .field("action", it.action)
+                    .field("makespan_s", it.makespan_s)
+                    .objs("phases", &it.phases, |p, (name, secs)| {
+                        p.field("name", name).field("seconds", *secs);
                     })
-                    .collect();
-                let groups: Vec<String> = it
-                    .groups
-                    .iter()
-                    .map(|g| {
-                        format!(
-                            "{{\"name\":\"{}\",\"busy_s\":{},\"idle_s\":{},\"utilization\":{}}}",
-                            json_escape(&g.name),
-                            json_f64(g.busy_s),
-                            json_f64(g.idle_s),
-                            json_f64(g.utilization()),
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"iteration\":{},\"action\":{},\"makespan_s\":{},\"phases\":[{}],\"groups\":[{}]}}",
-                    it.iteration,
-                    it.action,
-                    json_f64(it.makespan_s),
-                    phases.join(","),
-                    groups.join(","),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"monotonic_s\":{},\"counters\":{},\"gauges\":{},\"histograms\":{{{}}},\"iterations\":[{}]}}",
-            METRICS_SCHEMA_VERSION,
-            json_f64(self.monotonic_s),
-            json_map(&self.counters),
-            json_map(&self.gauges),
-            hists.join(","),
-            iters.join(","),
-        )
+                    .objs("groups", &it.groups, |g, group| {
+                        g.field("name", &group.name)
+                            .field("busy_s", group.busy_s)
+                            .field("idle_s", group.idle_s)
+                            .field("utilization", group.utilization());
+                    });
+            });
+        })
     }
 
     /// Render in the Prometheus text exposition format (version 0.0.4).

@@ -11,9 +11,9 @@
 //! rebuilt over the survivors), and outlier spikes multiply the observed
 //! iteration duration at the measurement level.
 //!
-//! Plans serialize to/from a small hand-rolled JSON format (no external
-//! dependencies), so fault scenarios can be checked into a repo and passed
-//! to binaries via `--faults <plan.json>`:
+//! Plans serialize to/from a small JSON format (through the workspace
+//! codec, [`adaphet_metrics::json`]), so fault scenarios can be checked
+//! into a repo and passed to binaries via `--faults <plan.json>`:
 //!
 //! ```json
 //! {"seed":7,"events":[
@@ -26,6 +26,7 @@
 //! iteration the event fires; events whose rank exceeds the live platform
 //! size are ignored (the node they named is already gone).
 
+use adaphet_metrics::json::{self, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -245,213 +246,70 @@ impl FaultPlan {
     /// Serialize to the canonical JSON format accepted by
     /// [`FaultPlan::from_json`].
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"seed\":{},\"events\":[", self.seed);
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match *e {
+        json::object(|o| {
+            o.field("seed", self.seed).objs("events", &self.events, |o, e| match *e {
                 FaultEvent::NodeDeath { iteration, rank } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"node_death\",\"iteration\":{iteration},\"rank\":{rank}}}"
-                    ));
+                    o.field("kind", "node_death").field("iteration", iteration).field("rank", rank);
                 }
                 FaultEvent::Slowdown { from, until, rank, factor } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"slowdown\",\"from\":{from},\"until\":{until},\
-                         \"rank\":{rank},\"factor\":{factor}}}"
-                    ));
+                    o.field("kind", "slowdown")
+                        .field("from", from)
+                        .field("until", until)
+                        .field("rank", rank)
+                        .field("factor", factor);
                 }
                 FaultEvent::Outlier { iteration, factor } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"outlier\",\"iteration\":{iteration},\"factor\":{factor}}}"
-                    ));
+                    o.field("kind", "outlier")
+                        .field("iteration", iteration)
+                        .field("factor", factor);
                 }
-            }
-        }
-        s.push_str("]}");
-        s
+            });
+        })
     }
 
     /// Parse a plan from its JSON representation. The parser accepts any
     /// whitespace and key order; unknown keys are rejected (a typo in a
-    /// fault plan should fail loudly, not silently do nothing).
+    /// fault plan should fail loudly, not silently do nothing). The seed,
+    /// iterations and ranks must be exact non-negative integers.
     pub fn from_json(text: &str) -> Result<Self, FaultPlanError> {
-        let mut p = Parser::new(text);
-        let plan = p.plan()?;
-        p.skip_ws();
-        if !p.done() {
-            return Err(FaultPlanError(format!("trailing input at byte {}", p.pos)));
-        }
-        Ok(plan)
+        let plan = |doc: &Json| -> Result<Self, String> {
+            known_keys(doc, "plan", &["seed", "events"])?;
+            let events: &[Json] = doc.req("events")?;
+            Ok(FaultPlan {
+                seed: doc.req("seed")?,
+                events: events.iter().map(event_from_json).collect::<Result<_, _>>()?,
+            })
+        };
+        Json::parse(text).and_then(|doc| plan(&doc)).map_err(FaultPlanError)
     }
 }
 
-/// Minimal recursive-descent parser for the fault-plan JSON schema.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reject any key of the object `v` outside `keys`.
+fn known_keys(v: &Json, what: &str, keys: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = v else { return Err(format!("{what} must be an object")) };
+    match fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("unknown {what} key \"{k}\"")),
+        None => Ok(()),
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+fn event_from_json(v: &Json) -> Result<FaultEvent, String> {
+    known_keys(v, "event", &["kind", "iteration", "rank", "from", "until", "factor"])?;
+    Ok(match v.req("kind")? {
+        "node_death" => {
+            FaultEvent::NodeDeath { iteration: v.req("iteration")?, rank: v.req("rank")? }
         }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), FaultPlanError> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(FaultPlanError(format!("expected '{}' at byte {}", c as char, self.pos)))
+        "slowdown" => FaultEvent::Slowdown {
+            from: v.req("from")?,
+            until: v.req("until")?,
+            rank: v.req("rank")?,
+            factor: v.req("factor")?,
+        },
+        "outlier" => {
+            FaultEvent::Outlier { iteration: v.req("iteration")?, factor: v.req("factor")? }
         }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, FaultPlanError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'"' {
-            if self.bytes[self.pos] == b'\\' {
-                return Err(FaultPlanError("escapes are not supported in plan strings".into()));
-            }
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return Err(FaultPlanError("unterminated string".into()));
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| FaultPlanError("non-UTF-8 string".into()))?
-            .to_string();
-        self.pos += 1; // closing quote
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<f64, FaultPlanError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        s.parse::<f64>().map_err(|_| FaultPlanError(format!("bad number at byte {start}")))
-    }
-
-    fn integer(&mut self, what: &str) -> Result<usize, FaultPlanError> {
-        let v = self.number()?;
-        if v < 0.0 || v.fract() != 0.0 || v > usize::MAX as f64 {
-            return Err(FaultPlanError(format!("{what} must be a non-negative integer, got {v}")));
-        }
-        Ok(v as usize)
-    }
-
-    fn plan(&mut self) -> Result<FaultPlan, FaultPlanError> {
-        self.expect(b'{')?;
-        let mut seed = None;
-        let mut events = None;
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "seed" => seed = Some(self.number()? as u64),
-                "events" => events = Some(self.events()?),
-                other => return Err(FaultPlanError(format!("unknown plan key \"{other}\""))),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        Ok(FaultPlan {
-            seed: seed.ok_or_else(|| FaultPlanError("missing \"seed\"".into()))?,
-            events: events.ok_or_else(|| FaultPlanError("missing \"events\"".into()))?,
-        })
-    }
-
-    fn events(&mut self) -> Result<Vec<FaultEvent>, FaultPlanError> {
-        self.expect(b'[')?;
-        let mut evs = Vec::new();
-        loop {
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                break;
-            }
-            evs.push(self.event()?);
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        Ok(evs)
-    }
-
-    fn event(&mut self) -> Result<FaultEvent, FaultPlanError> {
-        self.expect(b'{')?;
-        let mut kind = None;
-        let mut iteration = None;
-        let mut rank = None;
-        let mut from = None;
-        let mut until = None;
-        let mut factor = None;
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "kind" => kind = Some(self.string()?),
-                "iteration" => iteration = Some(self.integer("iteration")?),
-                "rank" => rank = Some(self.integer("rank")?),
-                "from" => from = Some(self.integer("from")?),
-                "until" => until = Some(self.integer("until")?),
-                "factor" => factor = Some(self.number()?),
-                other => return Err(FaultPlanError(format!("unknown event key \"{other}\""))),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        let miss = |k: &str| FaultPlanError(format!("event missing \"{k}\""));
-        match kind.as_deref() {
-            Some("node_death") => Ok(FaultEvent::NodeDeath {
-                iteration: iteration.ok_or_else(|| miss("iteration"))?,
-                rank: rank.ok_or_else(|| miss("rank"))?,
-            }),
-            Some("slowdown") => Ok(FaultEvent::Slowdown {
-                from: from.ok_or_else(|| miss("from"))?,
-                until: until.ok_or_else(|| miss("until"))?,
-                rank: rank.ok_or_else(|| miss("rank"))?,
-                factor: factor.ok_or_else(|| miss("factor"))?,
-            }),
-            Some("outlier") => Ok(FaultEvent::Outlier {
-                iteration: iteration.ok_or_else(|| miss("iteration"))?,
-                factor: factor.ok_or_else(|| miss("factor"))?,
-            }),
-            Some(other) => Err(FaultPlanError(format!("unknown event kind \"{other}\""))),
-            None => Err(miss("kind")),
-        }
-    }
+        other => return Err(format!("unknown event kind \"{other}\"")),
+    })
 }
 
 #[cfg(test)]
@@ -464,10 +322,12 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let plan = demo_plan();
-        let json = plan.to_json();
-        let back = FaultPlan::from_json(&json).expect("canonical JSON parses");
-        assert_eq!(back, plan);
+        // Seeds above 2^53 must survive bit-exactly (no f64 detour).
+        for plan in [demo_plan(), FaultPlan { seed: (1 << 53) + 1, ..demo_plan() }] {
+            let json = plan.to_json();
+            let back = FaultPlan::from_json(&json).expect("canonical JSON parses");
+            assert_eq!(back, plan);
+        }
     }
 
     #[test]
@@ -490,6 +350,14 @@ mod tests {
         assert!(FaultPlan::from_json(r#"{"seed":1,"events":[],"extra":2}"#).is_err());
         assert!(FaultPlan::from_json(r#"{"seed":1,"events":[{"kind":"meteor"}]}"#).is_err());
         assert!(FaultPlan::from_json(r#"{"events":[]}"#).is_err(), "missing seed");
+        assert!(FaultPlan::from_json(r#"{"seed":-1,"events":[]}"#).is_err(), "negative seed");
+        assert!(
+            FaultPlan::from_json(
+                r#"{"seed":1,"events":[{"kind":"node_death","iteration":1.5,"rank":2}]}"#
+            )
+            .is_err(),
+            "fractional iteration"
+        );
         assert!(
             FaultPlan::from_json(r#"{"seed":1,"events":[{"kind":"outlier","factor":2.0}]}"#)
                 .is_err(),

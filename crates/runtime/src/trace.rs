@@ -2,6 +2,7 @@
 
 use crate::platform::NodeId;
 use crate::task::{ClassId, TaskId};
+use adaphet_metrics::json::{self, Fixed};
 use std::collections::HashMap;
 
 /// Kind of worker a task executed on.
@@ -182,18 +183,18 @@ impl Trace {
                     ResourceKind::CpuCore(i) => i,
                     ResourceKind::Gpu(i) => 1000 + i,
                 };
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"task\":{},\"class\":{}}}}}",
-                    adaphet_metrics::json_escape(&phase_name(e.phase)),
-                    e.start * 1e6,
-                    (e.end - e.start) * 1e6,
-                    e.node.0,
-                    tid,
-                    e.task.0,
-                    e.class.0
-                )
+                json::object(|o| {
+                    o.field("name", phase_name(e.phase))
+                        .field("cat", "task")
+                        .field("ph", "X")
+                        .field("ts", Fixed(e.start * 1e6, 3))
+                        .field("dur", Fixed((e.end - e.start) * 1e6, 3))
+                        .field("pid", e.node.0)
+                        .field("tid", tid)
+                        .obj("args")
+                        .field("task", e.task.0)
+                        .field("class", e.class.0);
+                })
             })
             .collect()
     }
@@ -228,15 +229,14 @@ pub const TRACE_CSV_VERSION: u32 = 1;
 /// `{"traceEvents":[...]}` document loadable by `chrome://tracing` and
 /// Perfetto.
 pub fn chrome_trace_document(events: &[String]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::object(|o| {
+        let mut all = o.arr("traceEvents");
+        for e in events {
+            all.raw(e);
         }
-        out.push_str(e);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+        drop(all);
+        o.field("displayTimeUnit", "ms");
+    })
 }
 
 #[cfg(test)]
@@ -326,10 +326,16 @@ mod tests {
         let evs = t.chrome_events(|p| format!("pha\"se\\{p}"));
         assert_eq!(evs.len(), 1);
         assert!(evs[0].contains("\"name\":\"pha\\\"se\\\\3\""), "{}", evs[0]);
-        // The escaped event must parse as part of a valid document: no raw
-        // quote may terminate the name string early.
-        let doc = chrome_trace_document(&evs);
-        assert!(!doc.contains("\"pha\"se"), "{doc}");
+        // A NaN time writes null, never a raw `NaN` token.
+        t.push(ev(1, 3, 0.0, f64::NAN));
+        let evs = t.chrome_events(|p| format!("pha\"se\\{p}"));
+        assert!(evs[1].contains("\"dur\":null"), "{}", evs[1]);
+        // Every event, and the document around them, parses.
+        for e in &evs {
+            let v = json::Json::parse(e).unwrap_or_else(|err| panic!("{err}: {e}"));
+            assert_eq!(v.get("name").and_then(json::Json::as_str), Some("pha\"se\\3"));
+        }
+        assert!(json::Json::parse(&chrome_trace_document(&evs)).is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::protocol::{
     read_frame, write_frame, ErrorCode, HealthInfo, Request, Response, SessionEvent, SessionSpec,
     StatsSnapshot,
 };
-use adaphet_analysis::Json;
+use adaphet_metrics::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]

@@ -31,6 +31,7 @@ use adaphet_core::{
     JsonlSink, Observation, Observed, ResiliencePolicy, Session, SessionError, SurrogateStore,
     Ticket, TunerDriver, WarmStart,
 };
+use adaphet_metrics::json::{self, Fixed};
 use adaphet_metrics::Span;
 use adaphet_tsdb::{TimeSeriesStore, TsdbConfig};
 use crossbeam::channel::{unbounded, Sender};
@@ -164,23 +165,6 @@ pub struct SessionManager {
 // path returns through — `err` only shapes the reply.
 fn err(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error { code, message: message.into() }
-}
-
-/// The stable verb name of a request, as spelled on the wire — keys the
-/// per-verb latency histograms (`service.verb.<name>_s`).
-fn verb_name(request: &Request) -> &'static str {
-    match request {
-        Request::CreateSession(_) => "create_session",
-        Request::GetProposal { .. } => "get_proposal",
-        Request::SubmitObservation { .. } => "submit_observation",
-        Request::GetPosterior { .. } => "get_posterior",
-        Request::CloseSession { .. } => "close_session",
-        Request::GetStats => "get_stats",
-        Request::Inspect { .. } => "inspect",
-        Request::GetHealth { .. } => "get_health",
-        Request::Ping => "ping",
-        Request::Shutdown => "shutdown",
-    }
 }
 
 fn session_err(id: u64, e: SessionError) -> Response {
@@ -582,18 +566,11 @@ impl SessionManager {
     /// report, ordered by session id. Field order inside each session
     /// object matches the `health` wire frame exactly.
     pub fn health_json(&self) -> String {
-        let sessions = self
-            .stats
-            .health_infos()
-            .iter()
-            .map(|h| format!("{{{}}}", h.json_fields()))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"uptime_s\":{:.3},\"draining\":{},\"sessions\":[{sessions}]}}",
-            self.stats.uptime_s(),
-            self.is_draining()
-        )
+        json::object(|o| {
+            o.field("uptime_s", Fixed(self.stats.uptime_s(), 3))
+                .field("draining", self.is_draining())
+                .objs("sessions", &self.stats.health_infos(), |o, h| h.write_fields(o));
+        })
     }
 
     /// Whether [`Request::Shutdown`] was received (new work is refused).
@@ -622,7 +599,7 @@ impl SessionManager {
     /// wire server's per-request root span encloses the dispatch,
     /// queue-wait and session spans.
     pub fn handle_traced(&self, request: Request, parent: Option<u64>) -> Response {
-        let verb = verb_name(&request);
+        let verb = request.verb();
         self.stats.count("service.request", 1.0);
         let span = self.stats.spans().enter("dispatch", parent);
         let span_id = span.id();

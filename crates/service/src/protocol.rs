@@ -25,9 +25,8 @@
 //! are parsed with its [`FromStr`](std::str::FromStr) — the registry in
 //! `adaphet-core` is the single source of truth, aliases included.
 
-use adaphet_analysis::Json;
 use adaphet_core::{ActionSpace, PosteriorPoint, PosteriorSnapshot, StrategyKind};
-use adaphet_metrics::json_escape;
+use adaphet_metrics::json::{self, Json, ObjWriter};
 use std::io::{self, Read, Write};
 
 /// Hard cap on one frame's payload size (1 MiB).
@@ -345,29 +344,23 @@ pub struct HealthInfo {
 }
 
 impl HealthInfo {
-    /// The report's JSON fields without the enclosing braces or a
-    /// `type` tag — shared by the `health` wire frame and the sidecar's
-    /// `/health` endpoint so both expose the identical pinned schema.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"session\":{},\"state\":\"{}\",\"reason\":{},\"records\":{},\"since_best\":{},\
-             \"regret_slope\":{},\"retries_window\":{},\"faults_window\":{},\
-             \"posterior_sd_max\":{},\"lp_gap\":{},\"band_record\":{},\"warm_started\":{},\
-             \"transitions\":{}",
-            self.session,
-            json_escape(&self.state),
-            self.reason.as_deref().map_or("null".into(), |r| format!("\"{}\"", json_escape(r))),
-            self.records,
-            self.since_best,
-            jopt_num(self.regret_slope),
-            self.retries_window,
-            self.faults_window,
-            jopt_num(self.posterior_sd_max),
-            jopt_num(self.lp_gap),
-            jopt_usize(self.band_record),
-            self.warm_started,
-            self.transitions,
-        )
+    /// Append the report's fields (no `type` tag) to an open object —
+    /// shared by the `health` wire frame and the sidecar's `/health`
+    /// endpoint so both expose the identical pinned schema.
+    pub(crate) fn write_fields(&self, o: &mut ObjWriter<'_>) {
+        o.field("session", self.session)
+            .field("state", &self.state)
+            .field("reason", self.reason.as_deref())
+            .field("records", self.records)
+            .field("since_best", self.since_best)
+            .field("regret_slope", self.regret_slope)
+            .field("retries_window", self.retries_window)
+            .field("faults_window", self.faults_window)
+            .field("posterior_sd_max", self.posterior_sd_max)
+            .field("lp_gap", self.lp_gap)
+            .field("band_record", self.band_record)
+            .field("warm_started", self.warm_started)
+            .field("transitions", self.transitions);
     }
 }
 
@@ -531,127 +524,68 @@ pub enum Response {
     },
 }
 
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jopt_num(x: Option<f64>) -> String {
-    x.map_or("null".into(), jnum)
-}
-
-fn jopt_usize(x: Option<usize>) -> String {
-    x.map_or("null".into(), |v| v.to_string())
-}
-
 impl Request {
-    /// Serialize to the one-line JSON wire form.
-    pub fn to_json(&self) -> String {
+    /// The wire `type` of this request — also the stable verb name that
+    /// keys the per-verb latency histograms (`service.verb.<name>_s`).
+    pub(crate) fn verb(&self) -> &'static str {
         match self {
-            Request::CreateSession(spec) => {
-                let groups = spec
-                    .groups
-                    .iter()
-                    .map(|&(lo, hi)| format!("[{lo},{hi}]"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let lp = match &spec.lp {
-                    None => "null".to_string(),
-                    Some(v) => {
-                        format!("[{}]", v.iter().map(|&x| jnum(x)).collect::<Vec<_>>().join(","))
-                    }
-                };
-                format!(
-                    "{{\"type\":\"create_session\",\"strategy\":\"{}\",\"seed\":{},\
-                     \"max_nodes\":{},\"groups\":[{}],\"lp\":{},\"iters\":{},\
-                     \"best_known\":{},\"oracle_best\":{},\"resilience\":\"{}\",\
-                     \"max_in_flight\":{},\"warm_start\":{}}}",
-                    json_escape(&spec.strategy.to_string()),
-                    spec.seed,
-                    spec.max_nodes,
-                    groups,
-                    lp,
-                    jopt_usize(spec.iters),
-                    jopt_num(spec.best_known),
-                    jopt_usize(spec.oracle_best),
-                    if spec.resilience { "standard" } else { "off" },
-                    jopt_usize(spec.max_in_flight),
-                    jopt_num(spec.warm_start),
-                )
-            }
-            Request::GetProposal { session } => {
-                format!("{{\"type\":\"get_proposal\",\"session\":{session}}}")
-            }
-            Request::SubmitObservation { session, ticket, duration } => format!(
-                "{{\"type\":\"submit_observation\",\"session\":{session},\"ticket\":{ticket},\
-                 \"duration\":{}}}",
-                jnum(*duration)
-            ),
-            Request::GetPosterior { session } => {
-                format!("{{\"type\":\"get_posterior\",\"session\":{session}}}")
-            }
-            Request::CloseSession { session } => {
-                format!("{{\"type\":\"close_session\",\"session\":{session}}}")
-            }
-            Request::GetStats => "{\"type\":\"get_stats\"}".to_string(),
-            Request::Inspect { session } => {
-                format!("{{\"type\":\"inspect\",\"session\":{session}}}")
-            }
-            Request::GetHealth { session } => {
-                format!("{{\"type\":\"get_health\",\"session\":{session}}}")
-            }
-            Request::Ping => "{\"type\":\"ping\"}".to_string(),
-            Request::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
+            Request::CreateSession(_) => "create_session",
+            Request::GetProposal { .. } => "get_proposal",
+            Request::SubmitObservation { .. } => "submit_observation",
+            Request::GetPosterior { .. } => "get_posterior",
+            Request::CloseSession { .. } => "close_session",
+            Request::GetStats => "get_stats",
+            Request::Inspect { .. } => "inspect",
+            Request::GetHealth { .. } => "get_health",
+            Request::Ping => "ping",
+            Request::Shutdown => "shutdown",
         }
     }
 
-    /// Parse a request from its JSON document.
+    /// Serialize to the one-line JSON wire form.
+    pub fn to_json(&self) -> String {
+        json::object(|o| {
+            o.field("type", self.verb());
+            match self {
+                Request::CreateSession(spec) => {
+                    o.field("strategy", spec.strategy.to_string())
+                        .field("seed", spec.seed)
+                        .field("max_nodes", spec.max_nodes)
+                        .field("groups", &spec.groups)
+                        .field("lp", spec.lp.as_deref())
+                        .field("iters", spec.iters)
+                        .field("best_known", spec.best_known)
+                        .field("oracle_best", spec.oracle_best)
+                        .field("resilience", if spec.resilience { "standard" } else { "off" })
+                        .field("max_in_flight", spec.max_in_flight)
+                        .field("warm_start", spec.warm_start);
+                }
+                Request::SubmitObservation { session, ticket, duration } => {
+                    o.field("session", *session)
+                        .field("ticket", *ticket)
+                        .field("duration", *duration);
+                }
+                Request::GetProposal { session }
+                | Request::GetPosterior { session }
+                | Request::CloseSession { session }
+                | Request::Inspect { session }
+                | Request::GetHealth { session } => {
+                    o.field("session", *session);
+                }
+                Request::GetStats | Request::Ping | Request::Shutdown => {}
+            }
+        })
+    }
+
+    /// Parse a request from its JSON document. Integer fields must be
+    /// exact non-negative integers; errors name the offending key.
     pub fn from_json(v: &Json) -> Result<Request, String> {
-        let typ = v.get("type").and_then(Json::as_str).ok_or("missing 'type'")?;
-        let session = |v: &Json| -> Result<u64, String> {
-            v.get("session")
-                .and_then(Json::as_f64)
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                .map(|x| x as u64)
-                .ok_or_else(|| "missing or invalid 'session'".to_string())
-        };
-        Ok(match typ {
+        let session = || v.req("session");
+        Ok(match v.req::<&str>("type")? {
             "create_session" => {
-                let strategy_name =
-                    v.get("strategy").and_then(Json::as_str).ok_or("missing 'strategy'")?;
-                let strategy: StrategyKind = strategy_name.parse().map_err(|e| format!("{e}"))?;
-                let max_nodes =
-                    v.get("max_nodes").and_then(Json::as_usize).ok_or("missing 'max_nodes'")?;
-                let groups = match v.get("groups").and_then(Json::as_arr) {
-                    None => Vec::new(),
-                    Some(items) => items
-                        .iter()
-                        .map(|g| {
-                            let pair = g.as_arr().filter(|a| a.len() == 2);
-                            match pair {
-                                Some(a) => Ok((
-                                    a[0].as_usize().ok_or("bad group bound")?,
-                                    a[1].as_usize().ok_or("bad group bound")?,
-                                )),
-                                None => Err("groups must be [lo,hi] pairs".to_string()),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                };
-                let lp = match v.get("lp") {
-                    None | Some(Json::Null) => None,
-                    Some(arr) => Some(
-                        arr.as_arr()
-                            .ok_or("'lp' must be an array")?
-                            .iter()
-                            .map(|x| x.as_f64().ok_or_else(|| "non-numeric lp value".to_string()))
-                            .collect::<Result<Vec<_>, String>>()?,
-                    ),
-                };
-                let resilience = match v.get("resilience").and_then(Json::as_str) {
+                let strategy: StrategyKind =
+                    v.req::<&str>("strategy")?.parse().map_err(|e| format!("{e}"))?;
+                let resilience = match v.opt::<&str>("resilience")? {
                     None | Some("off") => false,
                     Some("standard") => true,
                     Some(other) => {
@@ -662,43 +596,35 @@ impl Request {
                 };
                 // Absent or null = cold start, so specs from clients that
                 // predate warm-starting parse unchanged.
-                let warm_start = match v.get("warm_start") {
-                    None | Some(Json::Null) => None,
-                    Some(x) => match x.as_f64() {
-                        Some(m) if (0.0..=1.0).contains(&m) => Some(m),
-                        _ => return Err("warm_start must be a similarity in [0, 1]".to_string()),
-                    },
-                };
+                let warm_start = v.opt("warm_start")?;
+                if warm_start.is_some_and(|m: f64| !(0.0..=1.0).contains(&m)) {
+                    return Err("warm_start must be a similarity in [0, 1]".to_string());
+                }
                 Request::CreateSession(SessionSpec {
                     strategy,
-                    seed: v.get("seed").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                    max_nodes,
-                    groups,
-                    lp,
-                    iters: v.get("iters").and_then(Json::as_usize),
-                    best_known: v.get("best_known").and_then(Json::as_f64),
-                    oracle_best: v.get("oracle_best").and_then(Json::as_usize),
+                    seed: v.opt("seed")?.unwrap_or(0),
+                    max_nodes: v.req("max_nodes")?,
+                    groups: v.opt("groups")?.unwrap_or_default(),
+                    lp: v.opt("lp")?,
+                    iters: v.opt("iters")?,
+                    best_known: v.opt("best_known")?,
+                    oracle_best: v.opt("oracle_best")?,
                     resilience,
-                    max_in_flight: v.get("max_in_flight").and_then(Json::as_usize),
+                    max_in_flight: v.opt("max_in_flight")?,
                     warm_start,
                 })
             }
-            "get_proposal" => Request::GetProposal { session: session(v)? },
+            "get_proposal" => Request::GetProposal { session: session()? },
             "submit_observation" => Request::SubmitObservation {
-                session: session(v)?,
-                ticket: v
-                    .get("ticket")
-                    .and_then(Json::as_f64)
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                    .map(|x| x as u64)
-                    .ok_or("missing or invalid 'ticket'")?,
-                duration: v.get("duration").and_then(Json::as_f64).ok_or("missing 'duration'")?,
+                session: session()?,
+                ticket: v.req("ticket")?,
+                duration: v.req("duration")?,
             },
-            "get_posterior" => Request::GetPosterior { session: session(v)? },
-            "close_session" => Request::CloseSession { session: session(v)? },
+            "get_posterior" => Request::GetPosterior { session: session()? },
+            "close_session" => Request::CloseSession { session: session()? },
             "get_stats" => Request::GetStats,
-            "inspect" => Request::Inspect { session: session(v)? },
-            "get_health" => Request::GetHealth { session: session(v)? },
+            "inspect" => Request::Inspect { session: session()? },
+            "get_health" => Request::GetHealth { session: session()? },
             "ping" => Request::Ping,
             "shutdown" => Request::Shutdown,
             other => return Err(format!("unknown request type {other:?}")),
@@ -709,110 +635,71 @@ impl Request {
 impl Response {
     /// Serialize to the one-line JSON wire form.
     pub fn to_json(&self) -> String {
-        match self {
+        json::object(|o| match self {
             Response::SessionCreated { session } => {
-                format!("{{\"type\":\"session_created\",\"session\":{session}}}")
+                o.field("type", "session_created").field("session", *session);
             }
-            Response::Proposal { session, ticket, iteration, action } => format!(
-                "{{\"type\":\"proposal\",\"session\":{session},\"ticket\":{ticket},\
-                 \"iteration\":{iteration},\"action\":{action}}}"
-            ),
+            Response::Proposal { session, ticket, iteration, action } => {
+                o.field("type", "proposal")
+                    .field("session", *session)
+                    .field("ticket", *ticket)
+                    .field("iteration", *iteration)
+                    .field("action", *action);
+            }
             Response::Recorded { session, iteration, action, duration, cumulative_time } => {
-                format!(
-                    "{{\"type\":\"recorded\",\"session\":{session},\"iteration\":{iteration},\
-                     \"action\":{action},\"duration\":{},\"cumulative_time\":{}}}",
-                    jnum(*duration),
-                    jnum(*cumulative_time)
-                )
+                o.field("type", "recorded")
+                    .field("session", *session)
+                    .field("iteration", *iteration)
+                    .field("action", *action)
+                    .field("duration", *duration)
+                    .field("cumulative_time", *cumulative_time);
             }
-            Response::Retry { session, ticket, action, attempt } => format!(
-                "{{\"type\":\"retry\",\"session\":{session},\"ticket\":{ticket},\
-                 \"action\":{action},\"attempt\":{attempt}}}"
-            ),
+            Response::Retry { session, ticket, action, attempt } => {
+                o.field("type", "retry")
+                    .field("session", *session)
+                    .field("ticket", *ticket)
+                    .field("action", *action)
+                    .field("attempt", *attempt);
+            }
             Response::Posterior { session, points } => {
-                let body = match points {
-                    None => "null".to_string(),
-                    Some(ps) => {
-                        let items = ps
-                            .iter()
-                            .map(|p| {
-                                format!(
-                                    "{{\"action\":{},\"mean\":{},\"sd\":{},\"lp_bound\":{},\
-                                     \"excluded\":{}}}",
-                                    p.action,
-                                    jnum(p.mean),
-                                    jnum(p.sd),
-                                    jopt_num(p.lp_bound),
-                                    p.excluded
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        format!("[{items}]")
-                    }
-                };
-                format!("{{\"type\":\"posterior\",\"session\":{session},\"points\":{body}}}")
+                o.field("type", "posterior").field("session", *session).field("points", points);
             }
             Response::Closed { session, iterations, total_time, best_action, history } => {
-                let hist = history
-                    .iter()
-                    .map(|&(a, y)| format!("[{a},{}]", jnum(y)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"closed\",\"session\":{session},\"iterations\":{iterations},\
-                     \"total_time\":{},\"best_action\":{},\"history\":[{hist}]}}",
-                    jnum(*total_time),
-                    jopt_usize(*best_action)
-                )
+                o.field("type", "closed")
+                    .field("session", *session)
+                    .field("iterations", *iterations)
+                    .field("total_time", *total_time)
+                    .field("best_action", *best_action)
+                    .field("history", history);
             }
             Response::Stats(s) => {
-                let verbs = s
-                    .verbs
-                    .iter()
-                    .map(|v| {
-                        format!(
-                            "{{\"verb\":\"{}\",\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                            json_escape(&v.verb),
-                            v.count,
-                            jnum(v.p50),
-                            jnum(v.p95),
-                            jnum(v.p99)
-                        )
+                o.field("type", "stats")
+                    .field("version", &s.version)
+                    .field("uptime_s", s.uptime_s)
+                    .field("draining", s.draining)
+                    .obj("sessions")
+                    .field("live", s.sessions_live)
+                    .field("created", s.sessions_created)
+                    .field("closed", s.sessions_closed)
+                    .field("evicted", s.sessions_evicted)
+                    .field("drained", s.sessions_drained);
+                o.field("in_flight", s.in_flight)
+                    .field("connections", s.connections)
+                    .field("requests", s.requests)
+                    .field("malformed", s.malformed)
+                    .field("errors", s.errors)
+                    .objs("verbs", &s.verbs, |o, v| {
+                        o.field("verb", &v.verb)
+                            .field("count", v.count)
+                            .field("p50", v.p50)
+                            .field("p95", v.p95)
+                            .field("p99", v.p99);
                     })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let shards = s
-                    .shards
-                    .iter()
-                    .map(|sh| {
-                        format!(
-                            "{{\"shard\":{},\"sessions\":{},\"queue_depth\":{}}}",
-                            sh.shard, sh.sessions, sh.queue_depth
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"stats\",\"version\":\"{}\",\"uptime_s\":{},\
-                     \"draining\":{},\"sessions\":{{\"live\":{},\"created\":{},\"closed\":{},\
-                     \"evicted\":{},\"drained\":{}}},\"in_flight\":{},\"connections\":{},\
-                     \"requests\":{},\"malformed\":{},\"errors\":{},\"verbs\":[{verbs}],\
-                     \"shards\":[{shards}]}}",
-                    json_escape(&s.version),
-                    jnum(s.uptime_s),
-                    s.draining,
-                    s.sessions_live,
-                    s.sessions_created,
-                    s.sessions_closed,
-                    s.sessions_evicted,
-                    s.sessions_drained,
-                    s.in_flight,
-                    s.connections,
-                    s.requests,
-                    s.malformed,
-                    s.errors,
-                )
+                    .objs("shards", &s.shards, |o, sh| {
+                        o.field("shard", sh.shard)
+                            .field("sessions", sh.sessions)
+                            .field("queue_depth", sh.queue_depth);
+                    });
             }
             Response::Inspected {
                 session,
@@ -823,279 +710,183 @@ impl Response {
                 events,
                 events_dropped,
             } => {
-                let pend = pending
-                    .iter()
-                    .map(|&(t, a)| format!("[{t},{a}]"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let evs = events
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"seq\":{},\"t_s\":{},\"kind\":\"{}\",\"ticket\":{},\
-                             \"action\":{},\"iteration\":{},\"duration\":{}}}",
-                            e.seq,
-                            jnum(e.t_s),
-                            json_escape(&e.kind),
-                            e.ticket.map_or("null".into(), |t| t.to_string()),
-                            jopt_usize(e.action),
-                            jopt_usize(e.iteration),
-                            jopt_num(e.duration)
-                        )
+                o.field("type", "inspected")
+                    .field("session", *session)
+                    .field("strategy", strategy)
+                    .field("iterations", *iterations)
+                    .field("cumulative_time", *cumulative_time)
+                    .field("pending", pending)
+                    .objs("events", events, |o, e| {
+                        o.field("seq", e.seq)
+                            .field("t_s", e.t_s)
+                            .field("kind", &e.kind)
+                            .field("ticket", e.ticket)
+                            .field("action", e.action)
+                            .field("iteration", e.iteration)
+                            .field("duration", e.duration);
                     })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"inspected\",\"session\":{session},\"strategy\":\"{}\",\
-                     \"iterations\":{iterations},\"cumulative_time\":{},\"pending\":[{pend}],\
-                     \"events\":[{evs}],\"events_dropped\":{events_dropped}}}",
-                    json_escape(strategy),
-                    jnum(*cumulative_time)
-                )
+                    .field("events_dropped", *events_dropped);
             }
-            Response::Health(h) => {
-                format!("{{\"type\":\"health\",{}}}", h.json_fields())
+            Response::Health(h) => h.write_fields(o.field("type", "health")),
+            Response::Pong { version, uptime_s } => {
+                o.field("type", "pong").field("version", version).field("uptime_s", *uptime_s);
             }
-            Response::Pong { version, uptime_s } => format!(
-                "{{\"type\":\"pong\",\"version\":\"{}\",\"uptime_s\":{}}}",
-                json_escape(version),
-                jnum(*uptime_s)
-            ),
-            Response::ShuttingDown => "{\"type\":\"shutting_down\"}".to_string(),
-            Response::Error { code, message } => format!(
-                "{{\"type\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
-                code.as_str(),
-                json_escape(message)
-            ),
-        }
+            Response::ShuttingDown => {
+                o.field("type", "shutting_down");
+            }
+            Response::Error { code, message } => {
+                o.field("type", "error").field("code", code.as_str()).field("message", message);
+            }
+        })
     }
 
-    /// Parse a response from its JSON document.
+    /// Parse a response from its JSON document. Integer fields must be
+    /// exact non-negative integers; errors name the offending key.
     pub fn from_json(v: &Json) -> Result<Response, String> {
-        let typ = v.get("type").and_then(Json::as_str).ok_or("missing 'type'")?;
-        let num = |key: &str| v.get(key).and_then(Json::as_f64).ok_or(format!("missing '{key}'"));
-        let int = |key: &str| num(key).map(|x| x as u64);
-        let us = |key: &str| num(key).map(|x| x as usize);
-        Ok(match typ {
-            "session_created" => Response::SessionCreated { session: int("session")? },
+        Ok(match v.req::<&str>("type")? {
+            "session_created" => Response::SessionCreated { session: v.req("session")? },
             "proposal" => Response::Proposal {
-                session: int("session")?,
-                ticket: int("ticket")?,
-                iteration: us("iteration")?,
-                action: us("action")?,
+                session: v.req("session")?,
+                ticket: v.req("ticket")?,
+                iteration: v.req("iteration")?,
+                action: v.req("action")?,
             },
             "recorded" => Response::Recorded {
-                session: int("session")?,
-                iteration: us("iteration")?,
-                action: us("action")?,
-                duration: num("duration")?,
-                cumulative_time: num("cumulative_time")?,
+                session: v.req("session")?,
+                iteration: v.req("iteration")?,
+                action: v.req("action")?,
+                duration: v.req("duration")?,
+                cumulative_time: v.req("cumulative_time")?,
             },
             "retry" => Response::Retry {
-                session: int("session")?,
-                ticket: int("ticket")?,
-                action: us("action")?,
-                attempt: us("attempt")?,
+                session: v.req("session")?,
+                ticket: v.req("ticket")?,
+                action: v.req("action")?,
+                attempt: v.req("attempt")?,
             },
-            "posterior" => {
-                let points = match v.get("points") {
-                    None | Some(Json::Null) => None,
-                    Some(arr) => Some(
-                        arr.as_arr()
-                            .ok_or("'points' must be an array")?
+            "posterior" => Response::Posterior {
+                session: v.req("session")?,
+                points: match v.opt::<&[Json]>("points")? {
+                    None => None,
+                    Some(items) => Some(
+                        items
                             .iter()
                             .map(|p| {
                                 Ok(PosteriorPoint {
-                                    action: p
-                                        .get("action")
-                                        .and_then(Json::as_usize)
-                                        .ok_or("point without action")?,
-                                    mean: p.get("mean").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                                    sd: p.get("sd").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                                    lp_bound: p.get("lp_bound").and_then(Json::as_f64),
-                                    excluded: p
-                                        .get("excluded")
-                                        .and_then(Json::as_bool)
-                                        .unwrap_or(false),
+                                    action: p.req("action")?,
+                                    mean: p.opt("mean")?.unwrap_or(f64::NAN),
+                                    sd: p.opt("sd")?.unwrap_or(f64::NAN),
+                                    lp_bound: p.opt("lp_bound")?,
+                                    excluded: p.opt("excluded")?.unwrap_or(false),
                                 })
                             })
-                            .collect::<Result<Vec<_>, String>>()?,
+                            .collect::<Result<_, String>>()?,
                     ),
-                };
-                Response::Posterior { session: int("session")?, points }
-            }
+                },
+            },
             "closed" => Response::Closed {
-                session: int("session")?,
-                iterations: us("iterations")?,
-                total_time: num("total_time")?,
-                best_action: v.get("best_action").and_then(Json::as_usize),
-                history: v
-                    .get("history")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'history'")?
-                    .iter()
-                    .map(|pair| {
-                        let a = pair.as_arr().filter(|a| a.len() == 2);
-                        match a {
-                            Some(a) => Ok((
-                                a[0].as_usize().ok_or("bad history action")?,
-                                a[1].as_f64().ok_or("bad history duration")?,
-                            )),
-                            None => Err("history entries must be [action,duration]".to_string()),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
+                session: v.req("session")?,
+                iterations: v.req("iterations")?,
+                total_time: v.req("total_time")?,
+                best_action: v.opt("best_action")?,
+                history: v.req("history")?,
             },
             "stats" => {
-                let sess = |key: &str| {
-                    v.get("sessions").and_then(|s| s.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-                        as u64
-                };
-                let count = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                let verbs = v
-                    .get("verbs")
-                    .and_then(Json::as_arr)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(|e| {
-                                Some(VerbStats {
-                                    verb: e.get("verb").and_then(Json::as_str)?.to_string(),
-                                    count: e.get("count").and_then(Json::as_f64)? as u64,
-                                    p50: e.get("p50").and_then(Json::as_f64).unwrap_or(0.0),
-                                    p95: e.get("p95").and_then(Json::as_f64).unwrap_or(0.0),
-                                    p99: e.get("p99").and_then(Json::as_f64).unwrap_or(0.0),
-                                })
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let shards = v
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(|e| {
-                                Some(ShardStats {
-                                    shard: e.get("shard").and_then(Json::as_usize)?,
-                                    sessions: e.get("sessions").and_then(Json::as_f64)? as u64,
-                                    queue_depth: e.get("queue_depth").and_then(Json::as_f64)?
-                                        as u64,
-                                })
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                // Every field defaults, so a stats frame from an older
+                // daemon still reads.
+                let sessions = v.get("sessions").unwrap_or(&Json::Null);
+                let count = |obj: &Json, key: &str| Ok::<u64, String>(obj.opt(key)?.unwrap_or(0));
                 Response::Stats(StatsSnapshot {
-                    version: v
-                        .get("version")
-                        .and_then(Json::as_str)
+                    version: v.opt("version")?.unwrap_or_default(),
+                    uptime_s: v.opt("uptime_s")?.unwrap_or(0.0),
+                    draining: v.opt("draining")?.unwrap_or(false),
+                    sessions_live: count(sessions, "live")?,
+                    sessions_created: count(sessions, "created")?,
+                    sessions_closed: count(sessions, "closed")?,
+                    sessions_evicted: count(sessions, "evicted")?,
+                    sessions_drained: count(sessions, "drained")?,
+                    in_flight: count(v, "in_flight")?,
+                    connections: count(v, "connections")?,
+                    requests: count(v, "requests")?,
+                    malformed: count(v, "malformed")?,
+                    errors: count(v, "errors")?,
+                    verbs: v
+                        .opt::<&[Json]>("verbs")?
                         .unwrap_or_default()
-                        .to_string(),
-                    uptime_s: v.get("uptime_s").and_then(Json::as_f64).unwrap_or(0.0),
-                    draining: v.get("draining").and_then(Json::as_bool).unwrap_or(false),
-                    sessions_live: sess("live"),
-                    sessions_created: sess("created"),
-                    sessions_closed: sess("closed"),
-                    sessions_evicted: sess("evicted"),
-                    sessions_drained: sess("drained"),
-                    in_flight: count("in_flight"),
-                    connections: count("connections"),
-                    requests: count("requests"),
-                    malformed: count("malformed"),
-                    errors: count("errors"),
-                    verbs,
-                    shards,
+                        .iter()
+                        .map(|e| {
+                            Ok(VerbStats {
+                                verb: e.req("verb")?,
+                                count: e.req("count")?,
+                                p50: e.opt("p50")?.unwrap_or(0.0),
+                                p95: e.opt("p95")?.unwrap_or(0.0),
+                                p99: e.opt("p99")?.unwrap_or(0.0),
+                            })
+                        })
+                        .collect::<Result<_, String>>()?,
+                    shards: v
+                        .opt::<&[Json]>("shards")?
+                        .unwrap_or_default()
+                        .iter()
+                        .map(|e| {
+                            Ok(ShardStats {
+                                shard: e.req("shard")?,
+                                sessions: e.req("sessions")?,
+                                queue_depth: e.req("queue_depth")?,
+                            })
+                        })
+                        .collect::<Result<_, String>>()?,
                 })
             }
             "inspected" => Response::Inspected {
-                session: int("session")?,
-                strategy: v.get("strategy").and_then(Json::as_str).unwrap_or_default().to_string(),
-                iterations: us("iterations")?,
-                cumulative_time: num("cumulative_time")?,
-                pending: v
-                    .get("pending")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'pending'")?
-                    .iter()
-                    .map(|pair| {
-                        let a = pair.as_arr().filter(|a| a.len() == 2);
-                        match a {
-                            Some(a) => Ok((
-                                a[0].as_f64().ok_or("bad pending ticket")? as u64,
-                                a[1].as_usize().ok_or("bad pending action")?,
-                            )),
-                            None => Err("pending entries must be [ticket,action]".to_string()),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
+                session: v.req("session")?,
+                strategy: v.opt("strategy")?.unwrap_or_default(),
+                iterations: v.req("iterations")?,
+                cumulative_time: v.req("cumulative_time")?,
+                pending: v.req("pending")?,
                 events: v
-                    .get("events")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'events'")?
+                    .req::<&[Json]>("events")?
                     .iter()
                     .map(|e| {
                         Ok(SessionEvent {
-                            seq: e.get("seq").and_then(Json::as_f64).ok_or("event without seq")?
-                                as u64,
-                            t_s: e.get("t_s").and_then(Json::as_f64).unwrap_or(0.0),
-                            kind: e
-                                .get("kind")
-                                .and_then(Json::as_str)
-                                .ok_or("event without kind")?
-                                .to_string(),
-                            ticket: e.get("ticket").and_then(Json::as_f64).map(|x| x as u64),
-                            action: e.get("action").and_then(Json::as_usize),
-                            iteration: e.get("iteration").and_then(Json::as_usize),
-                            duration: e.get("duration").and_then(Json::as_f64),
+                            seq: e.req("seq")?,
+                            t_s: e.opt("t_s")?.unwrap_or(0.0),
+                            kind: e.req("kind")?,
+                            ticket: e.opt("ticket")?,
+                            action: e.opt("action")?,
+                            iteration: e.opt("iteration")?,
+                            duration: e.opt("duration")?,
                         })
                     })
-                    .collect::<Result<Vec<_>, String>>()?,
+                    .collect::<Result<_, String>>()?,
                 // Absent on frames from daemons that predate drop
                 // accounting: nothing evicted is the only safe reading.
-                events_dropped: match v.get("events_dropped") {
-                    None | Some(Json::Null) => 0,
-                    Some(x) => x
-                        .as_f64()
-                        .filter(|d| *d >= 0.0 && d.fract() == 0.0)
-                        .ok_or("invalid 'events_dropped'")? as u64,
-                },
+                events_dropped: v.opt("events_dropped")?.unwrap_or(0),
             },
             "health" => Response::Health(HealthInfo {
-                session: int("session")?,
-                state: v.get("state").and_then(Json::as_str).ok_or("missing 'state'")?.to_string(),
-                reason: match v.get("reason") {
-                    None | Some(Json::Null) => None,
-                    Some(x) => Some(x.as_str().ok_or("'reason' must be a string")?.to_string()),
-                },
-                records: us("records")?,
-                since_best: us("since_best")?,
-                regret_slope: v.get("regret_slope").and_then(Json::as_f64),
-                retries_window: us("retries_window")?,
-                faults_window: us("faults_window")?,
-                posterior_sd_max: v.get("posterior_sd_max").and_then(Json::as_f64),
-                lp_gap: v.get("lp_gap").and_then(Json::as_f64),
-                band_record: v.get("band_record").and_then(Json::as_usize),
-                warm_started: v.get("warm_started").and_then(Json::as_bool).unwrap_or(false),
-                transitions: v.get("transitions").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+                session: v.req("session")?,
+                state: v.req("state")?,
+                reason: v.opt("reason")?,
+                records: v.req("records")?,
+                since_best: v.req("since_best")?,
+                regret_slope: v.opt("regret_slope")?,
+                retries_window: v.req("retries_window")?,
+                faults_window: v.req("faults_window")?,
+                posterior_sd_max: v.opt("posterior_sd_max")?,
+                lp_gap: v.opt("lp_gap")?,
+                band_record: v.opt("band_record")?,
+                warm_started: v.opt("warm_started")?.unwrap_or(false),
+                transitions: v.opt("transitions")?.unwrap_or(0),
             }),
+            // A pre-stats daemon answers a bare `{"type":"pong"}`.
             "pong" => Response::Pong {
-                version: v.get("version").and_then(Json::as_str).unwrap_or_default().to_string(),
-                uptime_s: v.get("uptime_s").and_then(Json::as_f64).unwrap_or(0.0),
+                version: v.opt("version")?.unwrap_or_default(),
+                uptime_s: v.opt("uptime_s")?.unwrap_or(0.0),
             },
             "shutting_down" => Response::ShuttingDown,
             "error" => Response::Error {
-                code: v
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .and_then(ErrorCode::parse)
-                    .unwrap_or(ErrorCode::Internal),
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified error")
-                    .to_string(),
+                code: v.opt("code")?.and_then(ErrorCode::parse).unwrap_or(ErrorCode::Internal),
+                message: v.opt("message")?.unwrap_or("unspecified error").to_string(),
             },
             other => return Err(format!("unknown response type {other:?}")),
         })
@@ -1168,6 +959,15 @@ mod tests {
     fn requests_round_trip() {
         round_trip_request(Request::CreateSession(spec()));
         round_trip_request(Request::CreateSession(SessionSpec::new(StrategyKind::Ucb, 0, 3)));
+        // Seeds above 2^53 survive bit-exactly: integers never pass
+        // through f64 on the wire.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            round_trip_request(Request::CreateSession(SessionSpec::new(
+                StrategyKind::Ucb,
+                seed,
+                3,
+            )));
+        }
         round_trip_request(Request::GetProposal { session: 12 });
         round_trip_request(Request::SubmitObservation { session: 12, ticket: 3, duration: 1.25 });
         round_trip_request(Request::GetPosterior { session: 12 });
@@ -1389,6 +1189,13 @@ mod tests {
         s.oracle_best = Some(3);
         assert!(s.space().is_ok());
         assert!(spec().space().is_ok());
+        // Negative, fractional and out-of-range node counts are refused
+        // at decode time instead of being cast to 0, 4 or usize::MAX.
+        for bad in ["-3", "4.7", "1e30", "18446744073709551616"] {
+            let j = format!(r#"{{"type":"create_session","strategy":"UCB","max_nodes":{bad}}}"#);
+            let err = Request::from_json(&Json::parse(&j).unwrap()).unwrap_err();
+            assert_eq!(err, "invalid 'max_nodes'", "{bad}");
+        }
     }
 
     #[test]

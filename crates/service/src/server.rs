@@ -12,7 +12,7 @@
 
 use crate::manager::SessionManager;
 use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
-use adaphet_analysis::Json;
+use adaphet_metrics::json::Json;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]

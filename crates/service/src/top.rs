@@ -6,7 +6,8 @@
 //! without a daemon.
 
 use crate::protocol::StatsSnapshot;
-use adaphet_analysis::{html_escape, Json, STYLE};
+use adaphet_analysis::{html_escape, STYLE};
+use adaphet_metrics::json::Json;
 use std::time::Duration;
 
 /// Parse the `--interval SECS` flag value shared by the top binaries:

@@ -3,8 +3,8 @@
 //! break), live state transitions observed through the verb, and
 //! metric-history persistence across manager restarts.
 
-use adaphet_analysis::Json;
 use adaphet_core::StrategyKind;
+use adaphet_metrics::json::Json;
 use adaphet_service::{
     HealthInfo, HistoryConfig, Request, Response, ServiceConfig, SessionManager, SessionSpec,
 };

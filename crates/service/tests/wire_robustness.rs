@@ -4,12 +4,12 @@
 
 #![cfg(unix)]
 
-use adaphet_analysis::Json;
 use adaphet_core::StrategyKind;
+use adaphet_metrics::json::Json;
 use adaphet_service::protocol::{read_frame, write_frame, Request, Response};
 use adaphet_service::{
     Client, ClientError, Endpoint, ErrorCode, Server, ServiceConfig, SessionManager, SessionSpec,
-    Submitted,
+    Submitted, MAX_FRAME,
 };
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -67,7 +67,16 @@ fn malformed_frames_get_typed_errors_and_the_connection_lives_on() {
         other => panic!("{other:?}"),
     }
 
-    // After all four, the same connection still serves real traffic.
+    // 5. A maximal frame of open brackets: nesting past the parser's
+    //    depth cap is refused before it can overflow the connection
+    //    thread's stack (which would abort the whole daemon).
+    write_frame(&mut conn, &"[".repeat(MAX_FRAME)).unwrap();
+    match read_reply(&mut conn) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
+        other => panic!("{other:?}"),
+    }
+
+    // After all five, the same connection still serves real traffic.
     write_frame(&mut conn, &Request::Ping.to_json()).unwrap();
     assert!(matches!(read_reply(&mut conn), Response::Pong { .. }));
 

@@ -41,7 +41,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use adaphet_metrics::{json_escape, MetricsReport};
+use adaphet_metrics::json;
+use adaphet_metrics::MetricsReport;
 use adaphet_store::{crc32, Reader, StoreError, Writer};
 
 /// Magic bytes opening every history chunk file.
@@ -308,57 +309,31 @@ impl TimeSeriesStore {
     /// each series carries `name`, `points` (raw `[t, value]` pairs) and
     /// `coarse` (per resolution: `[t, min, max, mean, last, count]`).
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|(name, s)| {
-                let raw: Vec<String> =
-                    s.raw.iter().map(|p| format!("[{},{}]", num(p.t_s), num(p.value))).collect();
-                let coarse: Vec<String> = s
-                    .coarse
-                    .iter()
-                    .map(|r| {
-                        let pts: Vec<String> = r
-                            .view()
-                            .iter()
-                            .map(|c| {
-                                format!(
-                                    "[{},{},{},{},{},{}]",
-                                    num(c.t_s),
-                                    num(c.min),
-                                    num(c.max),
-                                    num(c.mean()),
-                                    num(c.last),
-                                    c.count,
-                                )
-                            })
-                            .collect();
-                        format!("{{\"width_s\":{},\"points\":[{}]}}", num(r.width_s), pts.join(","))
-                    })
-                    .collect();
-                format!(
-                    "{{\"name\":\"{}\",\"points\":[{}],\"coarse\":[{}]}}",
-                    json_escape(name),
-                    raw.join(","),
-                    coarse.join(","),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"capacity\":{},\"resolutions\":[{}],\"epoch_s\":{},\"series\":[{}]}}",
-            FORMAT_VERSION,
-            self.config.capacity,
-            self.config.resolutions.iter().map(|w| num(*w)).collect::<Vec<_>>().join(","),
-            num(self.epoch_s),
-            series.join(","),
-        )
+        json::object(|o| {
+            o.field("version", FORMAT_VERSION)
+                .field("capacity", self.config.capacity)
+                .field("resolutions", &self.config.resolutions)
+                .field("epoch_s", self.epoch_s)
+                .objs("series", &self.series, |o, (name, s)| {
+                    let mut raw = o.field("name", name).arr("points");
+                    for p in &s.raw {
+                        raw.item((p.t_s, p.value));
+                    }
+                    drop(raw);
+                    o.objs("coarse", &s.coarse, |o, r| {
+                        let mut pts = o.field("width_s", r.width_s).arr("points");
+                        for c in r.view() {
+                            pts.arr()
+                                .item(c.t_s)
+                                .item(c.min)
+                                .item(c.max)
+                                .item(c.mean())
+                                .item(c.last)
+                                .item(c.count);
+                        }
+                    });
+                });
+        })
     }
 
     // ---- chunk codec --------------------------------------------------
@@ -820,6 +795,9 @@ mod tests {
         // BTreeMap ordering: in_flight sorts before request.
         assert!(j.find("service.in_flight").unwrap() < j.find("service.request").unwrap(), "{j}");
         assert!(j.contains("\"width_s\":10"), "{j}");
+        // The export is the deepest document the workspace writes (7
+        // levels); it must stay well inside the parser's nesting cap.
+        assert!(adaphet_metrics::json::Json::parse(&j).is_ok(), "{j}");
     }
 
     proptest! {
